@@ -234,13 +234,14 @@ class AllocatorSpec:
 class EngineSpec:
     """Which serving-engine core drives the experiment.
 
-    ``"scalar"`` (the default) is the reference
-    :class:`~repro.serving.engine.ServingEngine`, advancing one latency
-    evaluation per Python iteration.  ``"fast"`` is the vectorized
-    :class:`~repro.serving.fast_engine.FastServingEngine`, which jumps
-    whole spans of uneventful decode evaluations at once; it is pinned
-    bit-for-bit against the scalar core by the parity suite, so the two
-    modes report identical metrics and differ only in wall-clock cost.
+    Both modes run the same loop.  ``"scalar"`` (the default) is the
+    reference :class:`~repro.serving.engine.ServingEngine`, capped at one
+    latency evaluation per span.  ``"fast"`` is
+    :class:`~repro.serving.fast_engine.FastServingEngine`, which advances
+    whole spans of uneventful decode evaluations at once; the parity suite
+    pins it bit-for-bit against the scalar core on every result field
+    except the attention/FC cycle breakdowns, which spans priced by a
+    closed-form ``decode_span`` do not carry.
     """
 
     mode: str = "scalar"

@@ -52,21 +52,15 @@ class DPAController:
     def can_admit(self, tokens: int) -> bool:
         """Whether a request whose context grows to ``tokens`` fits now.
 
-        Pair with :meth:`reserve` of the same ``tokens`` for a
-        no-mid-decode-failure guarantee; pairing with :meth:`admit` (which
-        commits only the prefix) keeps lazy, may-fail-while-growing
-        semantics.
+        Pair with :meth:`reserve` of the same final ``tokens`` for a
+        no-mid-decode-failure guarantee; reserving only the prefix (no
+        ``final_tokens``) keeps lazy, may-fail-while-growing semantics.
         """
         return self.allocator.can_admit(tokens)
 
     def could_ever_fit(self, tokens: int) -> bool:
         """Whether ``tokens`` of context fits an empty module at all."""
         return self.allocator.could_ever_fit(tokens)
-
-    def admit(self, request_id: int, initial_tokens: int) -> None:
-        """Admit a request: allocate its prefix chunks and register metadata."""
-        self.allocator.admit(request_id, initial_tokens)
-        self.token_lengths[request_id] = initial_tokens
 
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
@@ -94,10 +88,6 @@ class DPAController:
 
     def grow(self, request_id: int, count: int = 1) -> None:
         """Lifecycle-contract alias of :meth:`step`."""
-        self.step(request_id, count)
-
-    def append_token(self, request_id: int, count: int = 1) -> None:
-        """Legacy-protocol alias of :meth:`step`."""
         self.step(request_id, count)
 
     def preempt(self, request_id: int) -> PreemptedState:

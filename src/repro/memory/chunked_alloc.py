@@ -154,18 +154,6 @@ class ChunkedAllocator:
         self._committed_total += committed
         self.host_interventions += 1
 
-    def admit(self, request_id: int, initial_tokens: int) -> None:
-        """Admit a request committing only its current prefix.
-
-        Equivalent to :meth:`reserve` without ``final_tokens``: the
-        commitment grows with :meth:`grow`, which may fail mid-decode when
-        the allocator fills up.
-
-        Raises:
-            CapacityExceeded: if the request's current KV cache does not fit.
-        """
-        self.reserve(request_id, initial_tokens)
-
     def grow(self, request_id: int, count: int = 1) -> None:
         """Grow a request's KV cache, allocating a new chunk when needed.
 
@@ -192,10 +180,6 @@ class ChunkedAllocator:
         if need > have:
             self.host_interventions += 1
         self._tokens[request_id] = current + count
-
-    def append_token(self, request_id: int, count: int = 1) -> None:
-        """Legacy alias of :meth:`grow` (kept for the PR 1 protocol)."""
-        self.grow(request_id, count)
 
     def preempt(self, request_id: int) -> PreemptedState:
         """Page a request out: free its chunks and return a restore receipt.

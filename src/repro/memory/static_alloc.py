@@ -79,22 +79,6 @@ class StaticAllocator:
         """Whether ``tokens`` of context fits an *empty* allocator at all."""
         return tokens <= self.max_context_tokens and self.capacity_bytes >= self.reservation_bytes
 
-    def admit(self, request_id: int, initial_tokens: int) -> None:
-        """Reserve worst-case space for a new request.
-
-        Raises:
-            AllocationError: if the reservation does not fit.
-            ValueError: if the request is already admitted or too long.
-        """
-        if request_id in self._reservations:
-            raise ValueError(f"request {request_id} already admitted")
-        if initial_tokens > self.max_context_tokens:
-            raise ValueError("initial context exceeds the static maximum")
-        if not self.can_admit():
-            raise AllocationError("insufficient capacity for a worst-case reservation")
-        self._reservations[request_id] = self.reservation_bytes
-        self._used_tokens[request_id] = initial_tokens
-
     def reserve(
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None:
@@ -107,6 +91,8 @@ class StaticAllocator:
         Raises:
             AllocationError: if the worst-case reservation does not fit or
                 the request's final context exceeds the static maximum.
+            ValueError: if the request is already admitted or
+                ``final_tokens`` is below ``initial_tokens``.
         """
         if final_tokens is None:
             final_tokens = initial_tokens
@@ -114,7 +100,12 @@ class StaticAllocator:
             raise ValueError("final_tokens must be >= initial_tokens")
         if final_tokens > self.max_context_tokens:
             raise AllocationError("final context exceeds the static maximum")
-        self.admit(request_id, initial_tokens)
+        if request_id in self._reservations:
+            raise ValueError(f"request {request_id} already admitted")
+        if not self.can_admit():
+            raise AllocationError("insufficient capacity for a worst-case reservation")
+        self._reservations[request_id] = self.reservation_bytes
+        self._used_tokens[request_id] = initial_tokens
 
     def grow(self, request_id: int, count: int = 1) -> None:
         """Record generated tokens; the reservation never grows or shrinks.
@@ -130,10 +121,6 @@ class StaticAllocator:
         if new_total > self.max_context_tokens:
             raise AllocationError("request exceeded the static maximum context")
         self._used_tokens[request_id] = new_total
-
-    def append_token(self, request_id: int, count: int = 1) -> None:
-        """Legacy alias of :meth:`grow` (kept for the PR 1 protocol)."""
-        self.grow(request_id, count)
 
     def preempt(self, request_id: int) -> PreemptedState:
         """Free a request's reservation and return a restore receipt.

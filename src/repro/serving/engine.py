@@ -1,7 +1,6 @@
-"""Event-driven decode serving engine.
+"""Event-driven decode serving engine: one loop, scalar or span-stepping.
 
-The engine replaces the monolithic ``simulate_serving`` loop with three
-decoupled layers:
+The engine serves a timestamped trace through three decoupled layers:
 
 1. **Admission** -- an :class:`~repro.serving.admission.AdmissionPolicy`
    ranks arrived-but-waiting requests; the engine admits everything the
@@ -9,11 +8,37 @@ decoupled layers:
    ``release`` protocol (no ``isinstance`` special-casing).
 2. **Scheduling** -- the engine advances a simulation clock over decode
    strides, idling forward to the next arrival when the system drains, so
-   open-loop (Poisson / replayed) traces are served faithfully.
+   open-loop (Poisson / replayed / diurnal) traces are served faithfully.
 3. **Metrics** -- a :class:`~repro.serving.lifecycle.LifecycleTracker`
    stamps every request's arrival, admission, first token and completion,
    yielding TTFT / TPOT and latency percentiles on top of the legacy
    throughput counters.
+
+:meth:`ServingEngine.run` is the only decode loop.  Each iteration takes
+arrivals, runs an admission round, drains or idles, advances chunked
+prefill, plans a *span* of uniform decode evaluations, executes it, and
+books the span in one per-request pass.  Between event points -- the next
+arrival, the soonest completion, a blocking prefill becoming ready, a
+possible KV-grow failure -- batch membership is constant and every decoding
+request advances by ``step_stride`` tokens per evaluation, so a span is
+provably uneventful before it runs: completions bound its length,
+arrival/ready crossings truncate it on the exact evaluation a one-at-a-time
+loop would observe them, and a chunked-allocator pre-check (monotone
+committed-chunk demand vs. total chunks) rules out ``CapacityExceeded``
+inside it.  Anything unprovable -- pending chunked prefill, a reduced final
+stride, a possible grow failure -- plans a span of one evaluation.
+
+The class constant :attr:`ServingEngine.span_limit` caps the span length.
+``ServingEngine`` caps it at one evaluation (``engine.mode=scalar``): every
+evaluation is priced with ``decode_step`` (or the latency cache) and booked
+on its own, which is the reference the parity tests compare against.
+:class:`~repro.serving.fast_engine.FastServingEngine` raises the cap
+(``engine.mode=fast``); spans of two or more evaluations on a system with a
+closed-form ``decode_span`` (``xpu-only``, ``gpu``, single-stage TCP
+``pim-only``) and no latency cache are priced in one call.  Those spans
+carry a constant per-step utilization and *no* cycle breakdown, so fast
+mode undercounts the attention/FC breakdowns wherever closed-form spans
+run; every other reported number matches scalar mode bit for bit.
 
 An optional :class:`~repro.serving.prefill.PrefillConfig` charges
 context-length-dependent prompt-processing latency at admission, either
@@ -27,15 +52,17 @@ session id are charged prefill (and recompute-mode restore work) only for
 the suffix their session's cached prefix does not cover, and each
 finished turn's full context is retained for the next turn.
 
-An optional :class:`~repro.serving.preemption.PreemptionConfig` flips the
-engine from the admit-to-completion contract to the incremental
+An optional :class:`~repro.serving.preemption.PreemptionConfig` flips
+admission from the admit-to-completion contract to the incremental
 :class:`~repro.serving.interfaces.KVLifecycle` contract: admission
 reserves only the prompt, the KV cache grows chunk by chunk, and when a
 grow raises :class:`~repro.memory.lifecycle.CapacityExceeded` the policy
 picks a victim to page out (``evict-lru`` / ``evict-largest`` /
 ``evict-youngest``).  Victims re-queue through admission and are restored
 with their saved state; swap or recompute costs are charged to the clock
-and surfaced as preemption metrics on :class:`EngineResult`.
+and surfaced as preemption metrics on :class:`EngineResult`.  Both
+contracts share the same bookkeeping pass: grow, then release finished
+requests inline.
 
 A trace whose requests all arrive at time 0 and fit the context window
 (``prompt + output <= max_context_tokens``) served under FCFS reproduces
@@ -48,9 +75,14 @@ past its own reservation, which could exhaust the allocator mid-decode.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
+import numpy as np
+
+from repro.memory.chunked_alloc import ChunkedAllocator
 from repro.memory.lifecycle import CapacityExceeded, PreemptedState
 from repro.memory.static_alloc import AllocationError
 from repro.pim.simulator import ZERO_BREAKDOWN
@@ -67,6 +99,9 @@ from repro.serving.preemption import PreemptionCandidate, PreemptionConfig
 from repro.serving.prefill import PrefillConfig
 from repro.serving.prefix_cache import PrefixCache
 from repro.workloads.traces import RequestTrace
+
+#: Floor of the adaptive span-length hint (spanning engines only).
+_MIN_HINT = 16
 
 
 @dataclass
@@ -200,6 +235,11 @@ class ServingEngine:
             not hold.  ``None`` (the default) keeps the no-reuse
             arithmetic the parity tests pin.
     """
+
+    #: Most decode evaluations one span may advance.  One evaluation per
+    #: span is ``engine.mode=scalar``: every evaluation priced and booked on
+    #: its own, the reference the parity tests compare against.
+    span_limit: ClassVar[int] = 1
 
     system: DecodeSystem
     admission: AdmissionPolicy = field(default_factory=FCFSAdmission)
@@ -429,7 +469,7 @@ class ServingEngine:
     def _grow_or_evict(
         self,
         entry: _ActiveRequest,
-        stride: int,
+        count: int,
         active: dict[int, _ActiveRequest],
         allocator: KVLifecycle,
         tracker: LifecycleTracker,
@@ -437,23 +477,29 @@ class ServingEngine:
         preempted: deque[_PreemptedRequest],
         preempted_now: set[int],
     ) -> float:
-        """Grow ``entry`` by ``stride``, evicting victims until it fits.
+        """Grow ``entry`` by ``count`` tokens, evicting victims until it fits.
 
         Victims leave ``active`` for the restore queue; their ids are added
-        to ``preempted_now`` so the caller skips their turn this stride.
+        to ``preempted_now`` so the caller skips their turn this span.
         Returns the clock charge of the evictions.
 
         Raises:
-            AllocationError: if no victim remains and the grow still fails
+            AllocationError: if the grow fails with no preemption configured
+                (unreachable under reserve-to-final admission, whose
+                commitment covers all growth), or no victim remains
                 (unreachable when admission enforces ``could_ever_fit``).
         """
-        assert self.preemption is not None
         overhead_s = 0.0
         while True:
             try:
-                allocator.grow(entry.request_id, stride)
+                allocator.grow(entry.request_id, count)
                 return overhead_s
             except CapacityExceeded:
+                if self.preemption is None:
+                    raise AllocationError(
+                        f"request {entry.request_id} cannot grow its KV cache and "
+                        "no preemption policy is configured"
+                    ) from None
                 candidates = [
                     PreemptionCandidate(
                         request_id=other.request_id,
@@ -486,6 +532,54 @@ class ServingEngine:
                 preempted.append(_PreemptedRequest(entry=victim, state=state))
                 preempted_now.add(victim_id)
 
+    def _span_capacity_cap(
+        self,
+        allocator: ChunkedAllocator,
+        decoding: list[_ActiveRequest],
+        stride: int,
+        n_max: int,
+    ) -> int:
+        """Longest prefix of ``n_max`` uniform grows provably free of failure.
+
+        Under the incremental lifecycle contract a chunked allocator may
+        raise ``CapacityExceeded`` mid-span.  Total committed demand after
+        evaluation ``j`` is ``sum_i max(committed_i, chunks_needed(c_i +
+        (j+1) * stride))`` plus the (constant) commitment of non-decoding
+        requests; it is monotone in ``j`` and bounds every intra-evaluation
+        prefix state, so all grows through evaluation ``j`` succeed iff the
+        end-of-``j`` total fits ``total_chunks``.  Returns 0 when even the
+        first evaluation may fail (the caller then runs a one-evaluation
+        span whose bookkeeping resolves the failure by eviction).
+        """
+        bytes_per_token = allocator.bytes_per_token
+        chunk_bytes = allocator.chunk_bytes
+        total = allocator.total_chunks
+        committed = np.array(
+            [allocator.committed_chunks_for(entry.request_id) for entry in decoding],
+            dtype=np.int64,
+        )
+        contexts = np.array([entry.context for entry in decoding], dtype=np.int64)
+        other = allocator.committed_chunk_count - int(committed.sum())
+
+        def fits_through(j: int) -> bool:
+            tokens = contexts + (j + 1) * stride
+            need = (tokens * bytes_per_token + chunk_bytes - 1) // chunk_bytes
+            return int(np.maximum(need, committed).sum()) + other <= total
+
+        if fits_through(n_max - 1):
+            return n_max
+        if not fits_through(0):
+            return 0
+        # Largest n with fits_through(n - 1); demand is monotone in j.
+        lo, hi = 1, n_max - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fits_through(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: RequestTrace, system_name: str = "") -> EngineResult:
@@ -502,7 +596,13 @@ class ServingEngine:
         arrived: deque[AdmissionCandidate] = deque()
         active: dict[int, _ActiveRequest] = {}
         preempted: deque[_PreemptedRequest] = deque()
-        lifecycle = self.lifecycle_admission
+        # Under the incremental contract a chunked allocator's grows may fail,
+        # which caps spans (reserve-to-final growth never fails).
+        chunked_lifecycle = (
+            allocator
+            if self.lifecycle_admission and isinstance(allocator, ChunkedAllocator)
+            else None
+        )
         preemption_count = 0
         preemption_overhead_s = 0.0
         # Preemption terminates (each eviction lets the grower advance and
@@ -520,6 +620,7 @@ class ServingEngine:
                 ttft_deadline_s=candidate.request.ttft_deadline_s,
                 tpot_deadline_s=candidate.request.tpot_deadline_s,
             )
+        records = tracker.records
 
         clock = 0.0
         busy_seconds = 0.0
@@ -533,11 +634,25 @@ class ServingEngine:
             cache_misses_before = self.latency_cache.misses
         prefix_before = self.prefix_cache.stats() if self.prefix_cache is not None else None
         peak_batch = 0
-        batch_samples: list[int] = []
-        utilization_samples: list[float] = []
-        capacity_samples: list[float] = []
+        # Running sums, accumulated once per evaluation in clock order.
+        batch_sum = 0.0
+        eval_count = 0
+        utilization_sum = 0.0
+        capacity_sum = 0.0
         attention_total = ZERO_BREAKDOWN
         fc_total = ZERO_BREAKDOWN
+
+        # Closed-form span pricing; an attached latency cache must see (and
+        # count) every evaluation, so it disables the closed form.
+        span_fn = getattr(self.system, "decode_span", None)
+        if self.latency_cache is not None:
+            span_fn = None
+        # Per-evaluation PIM utilization of a closed-form span step: a
+        # constant of the system (0.0 for xpu-only, 1.0 for TCP PIM).
+        span_util = getattr(self.system, "decode_span_utilization", 0.0)
+        span_hint = 64
+        cap_enabled = allocator.capacity_bytes > 0
+        capacity_bytes = allocator.capacity_bytes
 
         # An admission round is a complete pass: every remaining candidate
         # was rejected against the round's final state, and capacity only
@@ -655,96 +770,160 @@ class ServingEngine:
                 stride = 1
             else:
                 stride = min(self.step_stride, min(entry.remaining for entry in decoding))
-            contexts = [entry.context for entry in decoding]
-            if self.latency_cache is not None:
-                step = self.latency_cache.evaluate(self.system, contexts)
-            else:
-                step = self.system.decode_step(contexts)
 
-            busy_seconds += step.seconds * stride + prefill_step_seconds
-            clock += step.seconds * stride + prefill_step_seconds
-            total_tokens += len(decoding) * stride
-            steps += stride
-            batch_samples.append(len(decoding))
-            utilization_samples.append(step.pim_utilization)
-            peak_batch = max(peak_batch, len(decoding))
-            attention_total = attention_total + step.attention_breakdown.scaled(stride)
-            fc_total = fc_total + step.fc_breakdown.scaled(stride)
-            if allocator.capacity_bytes > 0:
-                # Fraction of the KV-cache capacity holding live tokens (the
-                # Fig. 19 metric): static reservations waste the gap between
-                # the actual and the maximum context; DPA only loses
-                # admission headroom and last-chunk fragmentation.
-                capacity_samples.append(allocator.used_bytes / allocator.capacity_bytes)
-
-            if lifecycle:
-                # Incremental contract: grow each request chunk by chunk,
-                # resolving CapacityExceeded by evicting victims.  Finished
-                # requests release immediately so later growers in the same
-                # stride see the freed chunks before resorting to eviction.
-                finished_any = False
-                preempted_now: set[int] = set()
-                evict_overhead_s = 0.0
-                lost_tokens = 0
-                for entry in decoding:
-                    if entry.request_id in preempted_now:
-                        # Evicted by an earlier grower this stride: the
-                        # batch-wide token count charged above never
-                        # materialised for this request.
-                        lost_tokens += stride
-                        continue
-                    evict_overhead_s += self._grow_or_evict(
-                        entry, stride, active, allocator, tracker, clock, preempted, preempted_now
+            # -- span planning: how many uniform evaluations can run before
+            # anything *can* change batch membership?  Completions bound the
+            # count (and may only land on the span's final evaluation);
+            # possible chunked grow failures cap it; arrival / prefill-ready
+            # crossings truncate it during execution.
+            n_plan = 1
+            if self.span_limit > 1 and not prefill_tokens_processed and stride == self.step_stride:
+                min_remaining = min(entry.remaining for entry in decoding)
+                n_plan = min(min_remaining // stride, span_hint, self.span_limit)
+                if n_plan > 1 and chunked_lifecycle is not None:
+                    n_plan = max(
+                        1, self._span_capacity_cap(chunked_lifecycle, decoding, stride, n_plan)
                     )
-                    entry.context += stride
-                    entry.remaining -= stride
-                    entry.last_step_s = clock
-                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                    if entry.remaining <= 0:
-                        allocator.release(entry.request_id)
-                        del active[entry.request_id]
-                        tracker.on_finish(entry.request_id, clock)
-                        if self.prefix_cache is not None and entry.session is not None:
-                            # Retain the turn's full context as the
-                            # session's reusable prefix.
-                            self.prefix_cache.insert(entry.session, entry.context)
-                        finished_any = True
+
+            # -- span execution: n_plan evaluations, each adding its own
+            # clock, utilization, capacity and breakdown sample.
+            batch = len(decoding)
+            threshold = math.inf
+            if n_plan > 1:
+                if future:
+                    threshold = future[0].arrival_s
+                if self.prefill is not None and batch < len(active):
+                    # Only blocking-style prefill can park requests here:
+                    # pending chunked prefill plans one evaluation.
+                    threshold = min(
+                        threshold,
+                        min(
+                            entry.ready_s
+                            for entry in active.values()
+                            if not entry.decode_ready(clock)
+                        ),
+                    )
+            contexts = [entry.context for entry in decoding]
+            if cap_enabled:
+                used_bytes = allocator.used_bytes
+                used_increment = batch * stride * allocator.bytes_per_token
+
+            executed = 0
+            first_eval_end = 0.0
+            first_eval_seconds = 0.0
+            if n_plan > 1 and span_fn is not None:
+                # Closed form: all latencies in one vectorized call.  These
+                # steps carry a constant utilization and no cycle breakdown.
+                seconds = span_fn(contexts, stride, n_plan).tolist()
+                for j in range(n_plan):
+                    advance = seconds[j] * stride + prefill_step_seconds
+                    busy_seconds += advance
+                    clock += advance
+                    utilization_sum += span_util
+                    if cap_enabled:
+                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
+                    if j == 0:
+                        first_eval_end = clock
+                    executed = j + 1
+                    if clock >= threshold:
+                        break
+                first_eval_seconds = seconds[0]
+            else:
+                for j in range(n_plan):
+                    step_contexts = (
+                        contexts if j == 0 else [context + stride * j for context in contexts]
+                    )
+                    if self.latency_cache is not None:
+                        step = self.latency_cache.evaluate(self.system, step_contexts)
+                    else:
+                        step = self.system.decode_step(step_contexts)
+                    advance = step.seconds * stride + prefill_step_seconds
+                    busy_seconds += advance
+                    clock += advance
+                    utilization_sum += step.pim_utilization
+                    attention_total = attention_total + step.attention_breakdown.scaled(stride)
+                    fc_total = fc_total + step.fc_breakdown.scaled(stride)
+                    if cap_enabled:
+                        # Fraction of the KV-cache capacity holding live
+                        # tokens (the Fig. 19 metric): static reservations
+                        # waste the gap between the actual and the maximum
+                        # context; DPA only loses admission headroom and
+                        # last-chunk fragmentation.
+                        capacity_sum += (used_bytes + j * used_increment) / capacity_bytes
+                    if j == 0:
+                        first_eval_seconds = step.seconds
+                        first_eval_end = clock
+                    executed = j + 1
+                    if clock >= threshold:
+                        break
+
+            grown = stride * executed
+            eval_count += executed
+            batch_sum += float(batch * executed)
+            steps += grown
+            total_tokens += batch * grown
+            peak_batch = max(peak_batch, batch)
+            if n_plan > 1:
+                # Adapt the hint: grow after full spans, shrink after
+                # truncated ones.
+                if executed >= n_plan:
+                    span_hint = min(self.span_limit, span_hint * 2)
+                else:
+                    span_hint = max(_MIN_HINT, 2 * executed)
+
+            # -- bookkeeping: grow each request (evicting victims under
+            # capacity pressure), then release it inline once finished so
+            # later growers see the freed chunks before resorting to
+            # eviction.
+            finished_any = False
+            preempted_now: set[int] = set()
+            evict_overhead_s = 0.0
+            lost_tokens = 0
+            for entry in decoding:
+                if entry.request_id in preempted_now:
+                    # Evicted by an earlier grower this span: the batch-wide
+                    # token count charged above never materialised for it.
+                    lost_tokens += grown
+                    continue
+                evict_overhead_s += self._grow_or_evict(
+                    entry, grown, active, allocator, tracker, clock, preempted, preempted_now
+                )
+                entry.context += grown
+                entry.remaining -= grown
+                entry.last_step_s = clock
+                record = records[entry.request_id]
+                if record.generated == 0:
+                    # The first token completes one decode step into the
+                    # first stride, which pins TTFT even when stride > 1.
+                    record.first_token_s = first_eval_end - first_eval_seconds * (stride - 1)
+                record.generated += grown
+                if entry.remaining <= 0:
+                    allocator.release(entry.request_id)
+                    del active[entry.request_id]
+                    record.finish_s = clock
+                    if self.prefix_cache is not None and entry.session is not None:
+                        # Retain the turn's full context as the session's
+                        # reusable prefix.
+                        self.prefix_cache.insert(entry.session, entry.context)
+                    finished_any = True
+            if preempted_now:
                 total_tokens -= lost_tokens
                 preemption_count += len(preempted_now)
                 if preemption_count > preemption_budget:
+                    assert self.preemption is not None
                     raise AllocationError(
                         f"{preemption_count} preemptions exceed the livelock "
                         f"guard ({preemption_budget}); the policy "
                         f"{self.preemption.policy.name!r} is thrashing"
                     )
-                if evict_overhead_s:
-                    busy_seconds += evict_overhead_s
-                    clock += evict_overhead_s
-                    preemption_overhead_s += evict_overhead_s
-                if finished_any or preempted_now:
-                    admission_dirty = True
-            else:
-                finished: list[_ActiveRequest] = []
-                for entry in decoding:
-                    allocator.append_token(entry.request_id, stride)
-                    entry.context += stride
-                    entry.remaining -= stride
-                    tracker.on_tokens(entry.request_id, stride, clock, step.seconds)
-                    if entry.remaining <= 0:
-                        finished.append(entry)
-                for entry in finished:
-                    allocator.release(entry.request_id)
-                    del active[entry.request_id]
-                    tracker.on_finish(entry.request_id, clock)
-                    if self.prefix_cache is not None and entry.session is not None:
-                        # Retain the turn's full context as the session's
-                        # reusable prefix.
-                        self.prefix_cache.insert(entry.session, entry.context)
-                if finished:
-                    admission_dirty = True
+                busy_seconds += evict_overhead_s
+                clock += evict_overhead_s
+                preemption_overhead_s += evict_overhead_s
+            if finished_any or preempted_now:
+                admission_dirty = True
 
-        def _mean(samples: list[float]) -> float:
-            return sum(samples) / len(samples) if samples else 0.0
+        def _ratio(total: float, count: int) -> float:
+            return total / count if count else 0.0
 
         metadata: dict = {}
         if dropped:
@@ -779,10 +958,10 @@ class ServingEngine:
             total_output_tokens=total_tokens,
             total_seconds=busy_seconds,
             steps=steps,
-            average_batch_size=_mean([float(sample) for sample in batch_samples]),
+            average_batch_size=_ratio(batch_sum, eval_count),
             peak_batch_size=peak_batch,
-            average_pim_utilization=_mean(utilization_samples),
-            average_capacity_utilization=_mean(capacity_samples),
+            average_pim_utilization=_ratio(utilization_sum, eval_count),
+            average_capacity_utilization=_ratio(capacity_sum, eval_count),
             attention_breakdown=attention_total,
             fc_breakdown=fc_total,
             total_pim_channels=self.system.total_pim_channels,
@@ -792,27 +971,21 @@ class ServingEngine:
             idle_seconds=idle_seconds,
             admission_policy=self.admission.name,
             latency=tracker.stats(),
-            request_records=tuple(
-                tracker.records[key] for key in sorted(tracker.records)
-            ),
+            request_records=tuple(records[key] for key in sorted(records)),
             requests_dropped=len(dropped),
             prefill_mode=self.prefill.mode if self.prefill is not None else "none",
-            prefill_seconds_total=sum(
-                record.prefill_s for record in tracker.records.values()
-            ),
+            prefill_seconds_total=sum(record.prefill_s for record in records.values()),
             preemption_policy=(
                 self.preemption.policy.name if self.preemption is not None else "none"
             ),
             preemptions=preemption_count,
             preemption_overhead_s=preemption_overhead_s,
-            recompute_tokens=sum(
-                record.recompute_tokens for record in tracker.records.values()
-            ),
+            recompute_tokens=sum(record.recompute_tokens for record in records.values()),
             # Every preemption is eventually restored (the run cannot end
             # with a non-empty restore queue), so stalls/preemptions is the
             # mean requeue delay.
             requeue_delay_mean_s=(
-                sum(record.stall_s for record in tracker.records.values()) / preemption_count
+                sum(record.stall_s for record in records.values()) / preemption_count
                 if preemption_count
                 else 0.0
             ),

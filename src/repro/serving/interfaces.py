@@ -114,8 +114,6 @@ class KVAllocator(Protocol):
         self, request_id: int, initial_tokens: int, final_tokens: int | None = None
     ) -> None: ...
 
-    def append_token(self, request_id: int, count: int = 1) -> None: ...
-
     def release(self, request_id: int) -> None: ...
 
 

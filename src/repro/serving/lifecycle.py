@@ -269,7 +269,11 @@ def windowed_stats(records: Sequence[RequestRecord], window_s: float) -> tuple[W
 
 @dataclass
 class LifecycleTracker:
-    """Collects :class:`RequestRecord` entries as the engine runs."""
+    """Collects :class:`RequestRecord` entries as the engine runs.
+
+    The engine stamps decode progress (``generated``, ``first_token_s``,
+    ``finish_s``) on the records directly, once per span.
+    """
 
     records: dict[int, RequestRecord] = field(default_factory=dict)
 
@@ -304,19 +308,6 @@ class LifecycleTracker:
         """Accumulate prefill work charged to a request (one or more chunks)."""
         self.records[request_id].prefill_s += seconds
 
-    def on_tokens(
-        self, request_id: int, count: int, step_end_s: float, step_seconds: float
-    ) -> None:
-        """Record ``count`` tokens generated in a stride ending at ``step_end_s``.
-
-        The first token of a request completes one decode step into its
-        first stride, which pins TTFT even when ``step_stride > 1``.
-        """
-        record = self.records[request_id]
-        if record.generated == 0 and count > 0:
-            record.first_token_s = step_end_s - step_seconds * (count - 1)
-        record.generated += count
-
     def on_preempt(self, request_id: int, now_s: float) -> None:
         """Record a page-out: the request leaves the batch and stalls."""
         record = self.records[request_id]
@@ -329,9 +320,6 @@ class LifecycleTracker:
         record.stall_s += now_s - record.preempted_s
         record.preempted_s = math.nan
         record.recompute_tokens += recompute_tokens
-
-    def on_finish(self, request_id: int, now_s: float) -> None:
-        self.records[request_id].finish_s = now_s
 
     def stats(self) -> LatencyStats:
         return LatencyStats.from_records(list(self.records.values()))

@@ -17,7 +17,7 @@ def make_controller(capacity_mb: int = 64, chunk_kb: int = 256, bpt: int = 512) 
 class TestLifecycle:
     def test_admit_step_release_roundtrip(self):
         controller = make_controller()
-        controller.admit(0, initial_tokens=1000)
+        controller.reserve(0, initial_tokens=1000)
         assert controller.token_lengths[0] == 1000
         controller.step(0, 5)
         assert controller.token_lengths[0] == 1005
@@ -28,10 +28,10 @@ class TestLifecycle:
     def test_capacity_check_before_admission(self):
         controller = make_controller(capacity_mb=1, chunk_kb=1024)
         assert controller.can_admit(100)
-        controller.admit(0, 100)
+        controller.reserve(0, 100)
         assert not controller.can_admit(100)
         with pytest.raises(AllocationError):
-            controller.admit(1, 100)
+            controller.reserve(1, 100)
 
     def test_utilization_improves_over_static_reservation(self):
         """The Fig. 19 effect: chunked allocation tracks live tokens."""
@@ -39,8 +39,8 @@ class TestLifecycle:
         static = make_static_allocator(
             capacity_bytes=64 * 1024 * 1024, bytes_per_token=512, max_context_tokens=32768
         )
-        controller.admit(0, 8000)
-        static.admit(0, 8000)
+        controller.reserve(0, 8000)
+        static.reserve(0, 8000)
         assert controller.capacity_utilization > 2 * static.capacity_utilization
 
 
@@ -65,7 +65,7 @@ class TestInstructionFootprint:
 
     def test_host_interventions_rare(self):
         controller = make_controller(chunk_kb=1024, bpt=512)
-        controller.admit(0, 100)
+        controller.reserve(0, 100)
         before = controller.host_interventions
         for _ in range(100):
             controller.step(0)

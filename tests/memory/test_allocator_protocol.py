@@ -68,7 +68,7 @@ class TestChunkedReserve:
         allocator = chunked(capacity_chunks=4)
         allocator.reserve(0, initial_tokens=1, final_tokens=256)  # all 4 chunks
         for _ in range(255):
-            allocator.append_token(0)
+            allocator.grow(0)
         assert allocator.allocated_chunk_count == 4
 
     def test_release_frees_commitment(self):
@@ -81,13 +81,13 @@ class TestChunkedReserve:
 
     def test_legacy_admit_growth_claims_uncommitted_chunks(self):
         allocator = chunked(capacity_chunks=4)
-        allocator.admit(0, initial_tokens=64)  # commits 1 chunk
+        allocator.reserve(0, initial_tokens=64)  # commits 1 chunk
         assert allocator.committed_chunk_count == 1
         for _ in range(192):
-            allocator.append_token(0)  # grows commitment to 4 chunks
+            allocator.grow(0)  # grows commitment to 4 chunks
         assert allocator.committed_chunk_count == 4
         with pytest.raises(AllocationError):
-            allocator.append_token(0, count=64)
+            allocator.grow(0, count=64)
 
     def test_va2pa_entries_compat_view(self):
         allocator = chunked(capacity_chunks=4)
@@ -102,9 +102,9 @@ class TestChunkedReserve:
 
     def test_growth_cannot_steal_reserved_chunks(self):
         allocator = chunked(capacity_chunks=4)
-        allocator.admit(0, initial_tokens=64)        # 1 chunk mapped/committed
+        allocator.reserve(0, initial_tokens=64)        # 1 chunk mapped/committed
         allocator.reserve(1, initial_tokens=64, final_tokens=192)  # commits 3
         # Request 0 would need a second chunk, but every remaining chunk is
         # committed to request 1's reservation.
         with pytest.raises(AllocationError):
-            allocator.append_token(0, count=64)
+            allocator.grow(0, count=64)

@@ -1,25 +1,30 @@
-"""Fast-engine parity: event-point batch stepping must not move any number.
+"""Fast-engine parity: span stepping must not move any number.
 
-:class:`~repro.serving.fast_engine.FastServingEngine` advances all decode
-steps between event points in one vectorised jump, so every metric of its
-:class:`~repro.api.report.RunReport` must match the scalar
-:class:`~repro.serving.engine.ServingEngine` to 1e-9 -- on every shipped
-example spec (lifecycle preemption and prefix-cache runs included) and on a
-seeded sweep of randomized configurations crossing admission x preemption
-(priority-aware policies and the starvation guard included) x prefill x
-prefix-cache x allocator x stride x router x SLO tiers.
+``engine.mode=fast`` runs the same :meth:`~repro.serving.engine.ServingEngine.run`
+loop as ``engine.mode=scalar`` with the span cap raised from one evaluation
+to :attr:`~repro.serving.fast_engine.FastServingEngine.span_limit`, so the
+full :class:`~repro.api.report.RunReport` and every field of every
+replica's :class:`~repro.serving.engine.EngineResult` (request records and
+metadata included) must match the scalar engine exactly -- on every
+shipped example spec (lifecycle preemption and prefix-cache runs included)
+and on a seeded sweep of randomized configurations crossing admission x
+preemption (priority-aware policies and the starvation guard included) x
+prefill x prefix-cache x allocator x stride x router x SLO tiers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from repro.api import ExperimentSpec, run
+from repro.api import ExperimentSpec, build, run
 from repro.api.spec import apply_override
+from repro.serving.engine import EngineResult
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
@@ -28,38 +33,71 @@ SPEC_PATHS = sorted(SPEC_DIR.glob("*.json"))
 #: Keys that legitimately differ between the two engine modes.
 MODE_KEYS = ("spec", "spec_hash", "engine_mode")
 
+#: EngineResult fields exempt from parity.  Spans priced by a closed-form
+#: ``decode_span`` (two or more evaluations, no latency cache) add no
+#: attention/FC cycle breakdown, so fast mode undercounts both -- to zero on
+#: ``pim_only_qmsum.json``.  Every other field must match exactly.
+BREAKDOWN_FIELDS = ("attention_breakdown", "fc_breakdown")
 
-def run_report_dict(spec_data: dict, mode: str) -> dict:
+
+def run_mode(spec_data: dict, mode: str):
+    """Run ``spec_data`` in ``mode``; returns (report dict, replica results)."""
     data = json.loads(json.dumps(spec_data))
     apply_override(data, "engine.mode", mode)
-    report = run(ExperimentSpec.from_dict(data)).to_dict()
+    report = run(ExperimentSpec.from_dict(data))
+    report_dict = report.to_dict()
     for key in MODE_KEYS:
-        report.pop(key, None)
-    return report
+        report_dict.pop(key, None)
+    return report_dict, report.replica_results
 
 
-def assert_close(scalar, fast, path: str = "report") -> None:
-    """Recursive equality: exact for non-floats, abs/rel 1e-9 for floats."""
-    if isinstance(scalar, dict):
-        assert isinstance(fast, dict) and scalar.keys() == fast.keys(), path
+def run_report_dict(spec_data: dict, mode: str) -> dict:
+    return run_mode(spec_data, mode)[0]
+
+
+def assert_identical(scalar, fast, path: str = "report") -> None:
+    """Recursive exact equality (``nan`` equals ``nan``), naming the first diff."""
+    assert type(scalar) is type(fast), path
+    if dataclasses.is_dataclass(scalar):
+        for item in dataclasses.fields(scalar):
+            assert_identical(
+                getattr(scalar, item.name), getattr(fast, item.name), f"{path}.{item.name}"
+            )
+    elif isinstance(scalar, dict):
+        assert scalar.keys() == fast.keys(), path
         for key in scalar:
-            assert_close(scalar[key], fast[key], f"{path}.{key}")
+            assert_identical(scalar[key], fast[key], f"{path}.{key}")
     elif isinstance(scalar, (list, tuple)):
         assert len(scalar) == len(fast), path
         for index, (left, right) in enumerate(zip(scalar, fast, strict=True)):
-            assert_close(left, right, f"{path}[{index}]")
-    elif isinstance(scalar, float) and not isinstance(scalar, bool):
-        assert fast == pytest.approx(scalar, rel=1e-9, abs=1e-9), path
+            assert_identical(left, right, f"{path}[{index}]")
+    elif isinstance(scalar, float) and math.isnan(scalar):
+        assert math.isnan(fast), path
     else:
         assert scalar == fast, path
+
+
+def assert_parity(scalar: tuple, fast: tuple) -> None:
+    """Exact parity of the reports and of every replica's EngineResult."""
+    scalar_report, scalar_results = scalar
+    fast_report, fast_results = fast
+    assert_identical(scalar_report, fast_report)
+    assert len(scalar_results) == len(fast_results)
+    for index, (left, right) in enumerate(zip(scalar_results, fast_results, strict=True)):
+        for item in dataclasses.fields(EngineResult):
+            if item.name in BREAKDOWN_FIELDS:
+                continue
+            assert_identical(
+                getattr(left, item.name),
+                getattr(right, item.name),
+                f"replica[{index}].{item.name}",
+            )
 
 
 @pytest.mark.parametrize("spec_path", SPEC_PATHS, ids=lambda p: p.stem)
 def test_example_spec_parity(spec_path):
     spec_data = json.loads(spec_path.read_text())
-    scalar = run_report_dict(spec_data, "scalar")
-    fast = run_report_dict(spec_data, "fast")
-    assert_close(scalar, fast)
+    assert_parity(run_mode(spec_data, "scalar"), run_mode(spec_data, "fast"))
 
 
 def test_example_specs_cover_lifecycle_and_prefix_cache():
@@ -83,6 +121,59 @@ def test_engine_mode_recorded_in_report():
     report = run(ExperimentSpec.from_dict(data))
     assert report.engine_mode == "fast"
     assert report.to_dict()["engine_mode"] == "fast"
+
+
+# ---------------------------------------------------------------------------
+# Scalar mode stays an independent reference
+# ---------------------------------------------------------------------------
+
+
+def _count_pricing(spec_name: str, mode: str, overrides: dict, monkeypatch):
+    """Run a spec with counting wrappers on its system's pricing entry points."""
+    data = json.loads((SPEC_DIR / f"{spec_name}.json").read_text())
+    apply_override(data, "engine.mode", mode)
+    for path, value in overrides.items():
+        apply_override(data, path, value)
+    built = build(ExperimentSpec.from_dict(data))
+    system = built.system
+    calls = {"decode_step": 0, "decode_span": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(system, "decode_step", counted("decode_step", system.decode_step))
+    span_fn = getattr(system, "decode_span", None)
+    if span_fn is not None:
+        monkeypatch.setattr(system, "decode_span", counted("decode_span", span_fn))
+    return calls, built.run().engine_result
+
+
+@pytest.mark.parametrize("spec_name", ["xpu_only_qmsum", "pim_only_qmsum"])
+def test_scalar_mode_prices_every_evaluation_individually(spec_name, monkeypatch):
+    """Scalar mode never takes the closed-form span path.
+
+    With ``step_stride=1`` every evaluation advances exactly one step, so
+    one ``decode_step`` call per reported step means one pricing call per
+    evaluation.  Both systems do offer a closed-form ``decode_span``.
+    """
+    calls, result = _count_pricing(
+        spec_name, "scalar", {"step_stride": 1, "trace.num_requests": 24}, monkeypatch
+    )
+    assert calls["decode_span"] == 0
+    assert result.steps > 0
+    assert calls["decode_step"] == result.steps
+
+
+def test_fast_mode_takes_the_span_path(monkeypatch):
+    """Without this, the parity tests could compare the span path with itself."""
+    scalar_calls, _ = _count_pricing("xpu_only_qmsum", "scalar", {}, monkeypatch)
+    fast_calls, _ = _count_pricing("xpu_only_qmsum", "fast", {}, monkeypatch)
+    assert fast_calls["decode_span"] > 0
+    assert fast_calls["decode_step"] < scalar_calls["decode_step"]
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +274,12 @@ def test_randomized_config_parity(case_seed):
     rng = random.Random(20260 + case_seed)
     spec_data = _random_spec_dict(rng)
     try:
-        scalar = run_report_dict(spec_data, "scalar")
+        scalar = run_mode(spec_data, "scalar")
         scalar_error = None
     except Exception as error:  # noqa: BLE001 - comparing failure surfaces
         scalar, scalar_error = None, error
     try:
-        fast = run_report_dict(spec_data, "fast")
+        fast = run_mode(spec_data, "fast")
         fast_error = None
     except Exception as error:  # noqa: BLE001
         fast, fast_error = None, error
@@ -197,4 +288,4 @@ def test_randomized_config_parity(case_seed):
         assert type(scalar_error) is type(fast_error), (scalar_error, fast_error)
         assert str(scalar_error) == str(fast_error)
     else:
-        assert_close(scalar, fast)
+        assert_parity(scalar, fast)

@@ -79,7 +79,7 @@ def _legacy_simulate_serving(system, trace, max_batch_size=None, step_stride=1):
             elif not allocator.can_admit():
                 break
             pending.popleft()
-            allocator.admit(request.request_id, prompt)
+            allocator.reserve(request.request_id, prompt)
             active[request.request_id] = _ActiveRequest(
                 request_id=request.request_id, context=prompt, remaining=request.output_tokens
             )
@@ -105,7 +105,7 @@ def _legacy_simulate_serving(system, trace, max_batch_size=None, step_stride=1):
 
         finished = []
         for entry in active.values():
-            allocator.append_token(entry.request_id, stride)
+            allocator.grow(entry.request_id, stride)
             entry.context += stride
             entry.remaining -= stride
             if entry.remaining <= 0:

@@ -52,7 +52,7 @@ def test_chunked_allocator_never_double_books(token_counts):
     admitted = []
     for request_id, tokens in enumerate(token_counts):
         try:
-            allocator.admit(request_id, tokens)
+            allocator.reserve(request_id, tokens)
             admitted.append(request_id)
         except AllocationError:
             break
