@@ -32,6 +32,15 @@ DEFAULT_CHUNK_BYTES = 1 * 1024 * 1024
 class ChunkedAllocator:
     """On-demand chunk allocator backed by a VA2PA translation table.
 
+    Free chunks are a LIFO stack of released chunks on top of a high-water
+    mark: chunks ``high_water..total-1`` have never been handed out, so
+    they need no list, and construction costs O(1) whatever the capacity.
+    :meth:`_take` hands out a run of chunks as one slice -- released chunks
+    first, most recently freed first, then fresh ones upwards from the
+    high-water mark -- the order repeated pops from a full stack would
+    give.  Live token counts are kept as a running total, so
+    :attr:`used_bytes` is O(1).
+
     Attributes:
         capacity_bytes: Total bytes available for KV cache.
         bytes_per_token: KV bytes appended per token.
@@ -42,8 +51,10 @@ class ChunkedAllocator:
     bytes_per_token: int
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     _table: VA2PATable = field(init=False, repr=False)
-    _free_chunks: list[int] = field(init=False, repr=False)
+    _free_chunks: list[int] = field(init=False, default_factory=list, repr=False)
+    _high_water: int = field(init=False, default=0, repr=False)
     _tokens: dict[int, int] = field(default_factory=dict, repr=False)
+    _tokens_total: int = field(default=0, repr=False)
     _committed: dict[int, int] = field(default_factory=dict, repr=False)
     _committed_total: int = field(default=0, repr=False)
     host_interventions: int = field(default=0, repr=False)
@@ -54,7 +65,6 @@ class ChunkedAllocator:
         if self.bytes_per_token <= 0 or self.chunk_bytes <= 0:
             raise ValueError("bytes_per_token and chunk_bytes must be positive")
         self._table = VA2PATable(chunk_bytes=self.chunk_bytes)
-        self._free_chunks = list(range(self.capacity_bytes // self.chunk_bytes))[::-1]
 
     # -- sizing helpers ---------------------------------------------------
 
@@ -64,7 +74,7 @@ class ChunkedAllocator:
 
     @property
     def free_chunk_count(self) -> int:
-        return len(self._free_chunks)
+        return len(self._free_chunks) + self.total_chunks - self._high_water
 
     @property
     def allocated_chunk_count(self) -> int:
@@ -147,9 +157,9 @@ class ChunkedAllocator:
         committed = self.chunks_needed(final_tokens)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to admit request")
-        for virtual_chunk in range(self.chunks_needed(initial_tokens)):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
+        self._table.map(request_id, self._take(self.chunks_needed(initial_tokens)))
         self._tokens[request_id] = initial_tokens
+        self._tokens_total += initial_tokens
         self._committed[request_id] = committed
         self._committed_total += committed
         self.host_interventions += 1
@@ -175,11 +185,11 @@ class ChunkedAllocator:
                 raise CapacityExceeded("out of chunks while growing the KV cache")
             self._committed[request_id] = need
             self._committed_total += need - committed
-        for virtual_chunk in range(have, need):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
         if need > have:
+            self._table.map(request_id, self._take(need - have))
             self.host_interventions += 1
         self._tokens[request_id] = current + count
+        self._tokens_total += count
 
     def preempt(self, request_id: int) -> PreemptedState:
         """Page a request out: free its chunks and return a restore receipt.
@@ -192,6 +202,7 @@ class ChunkedAllocator:
         freed = self._table.release(request_id)
         self._free_chunks.extend(freed)
         tokens = self._tokens.pop(request_id)
+        self._tokens_total -= tokens
         committed = self._committed.pop(request_id)
         self._committed_total -= committed
         self.host_interventions += 1
@@ -219,9 +230,9 @@ class ChunkedAllocator:
         committed = max(mapped, state.committed_chunks)
         if committed > self.uncommitted_chunk_count:
             raise CapacityExceeded("insufficient free chunks to restore request")
-        for virtual_chunk in range(mapped):
-            self._table.map(request_id, virtual_chunk, self._free_chunks.pop())
+        self._table.map(request_id, self._take(mapped))
         self._tokens[request_id] = state.tokens
+        self._tokens_total += state.tokens
         self._committed[request_id] = committed
         self._committed_total += committed
         self.host_interventions += 1
@@ -232,9 +243,20 @@ class ChunkedAllocator:
             return
         freed = self._table.release(request_id)
         self._free_chunks.extend(freed)
-        del self._tokens[request_id]
+        self._tokens_total -= self._tokens.pop(request_id)
         self._committed_total -= self._committed.pop(request_id)
         self.host_interventions += 1
+
+    def _take(self, count: int) -> list[int]:
+        """Hand out ``count`` free chunks in LIFO pop order."""
+        free = self._free_chunks
+        cut = max(len(free) - count, 0)
+        chunks = free[cut:][::-1]
+        del free[cut:]
+        start = self._high_water
+        self._high_water += count - len(chunks)
+        chunks.extend(range(start, self._high_water))
+        return chunks
 
     # -- metrics ------------------------------------------------------------
 
@@ -245,7 +267,7 @@ class ChunkedAllocator:
     @property
     def used_bytes(self) -> int:
         """Bytes backing live tokens (excludes last-chunk fragmentation)."""
-        return sum(tokens * self.bytes_per_token for tokens in self._tokens.values())
+        return self._tokens_total * self.bytes_per_token
 
     @property
     def capacity_utilization(self) -> float:

@@ -8,9 +8,7 @@ instructions to reference dynamically allocated, non-contiguous memory.
 
 from __future__ import annotations
 
-import types
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 
 class TranslationError(KeyError):
@@ -21,76 +19,54 @@ class TranslationError(KeyError):
 class VA2PATable:
     """Per-module VA-to-PA chunk translation table.
 
-    Mappings are stored per request so the hot lifecycle operations --
-    ``chunks_of`` and ``release`` on one request -- cost O(chunks of that
-    request) instead of O(all mappings in the table), which dominated
-    serving-sweep profiles when thousands of requests churn through the
-    allocator.
+    A request's virtual chunks are always dense (``0..n-1``): its KV cache
+    only grows at the end.  So each request's mapping is a list of physical
+    chunks in virtual order -- virtual chunk ``v`` is ``list[v]`` -- the
+    per-request block table of PagedAttention.  Mapping a run of chunks is
+    one list extend, and ``chunks_of`` / ``release`` return the list as is.
 
     Attributes:
         chunk_bytes: Size of one allocation chunk.
     """
 
     chunk_bytes: int
-    _per_request: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    _per_request: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    _num_entries: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
 
-    def map(self, request_id: int, virtual_chunk: int, physical_chunk: int) -> None:
-        """Install a mapping for one virtual chunk of a request."""
-        if virtual_chunk < 0 or physical_chunk < 0:
-            raise ValueError("chunk indices must be non-negative")
-        mappings = self._per_request.setdefault(request_id, {})
-        existing = mappings.get(virtual_chunk)
-        if existing is not None and existing != physical_chunk:
-            raise ValueError(
-                f"virtual chunk {(request_id, virtual_chunk)} is already mapped to {existing}"
-            )
-        mappings[virtual_chunk] = physical_chunk
+    def map(self, request_id: int, physical_chunks: list[int]) -> None:
+        """Map ``physical_chunks`` as the request's next virtual chunks."""
+        self._per_request.setdefault(request_id, []).extend(physical_chunks)
+        self._num_entries += len(physical_chunks)
 
     def translate(self, request_id: int, virtual_address: int) -> int:
         """Translate a virtual byte address of a request to a physical one."""
         if virtual_address < 0:
             raise ValueError("virtual_address must be non-negative")
         virtual_chunk, offset = divmod(virtual_address, self.chunk_bytes)
-        physical = self._per_request.get(request_id, {}).get(virtual_chunk)
-        if physical is None:
+        chunks = self._per_request.get(request_id, ())
+        if virtual_chunk >= len(chunks):
             raise TranslationError(f"no mapping for request {request_id} chunk {virtual_chunk}")
-        return physical * self.chunk_bytes + offset
+        return chunks[virtual_chunk] * self.chunk_bytes + offset
 
     def chunks_of(self, request_id: int) -> list[int]:
         """Physical chunks mapped for a request, in virtual order."""
-        mappings = self._per_request.get(request_id, {})
-        return [physical for _, physical in sorted(mappings.items())]
+        return list(self._per_request.get(request_id, ()))
 
     def release(self, request_id: int) -> list[int]:
         """Remove all mappings of a request and return the freed chunks."""
-        freed = self.chunks_of(request_id)
-        self._per_request.pop(request_id, None)
+        freed = self._per_request.pop(request_id, [])
+        self._num_entries -= len(freed)
         return freed
 
     @property
-    def entries(self) -> Mapping[tuple[int, int], int]:
-        """Flat ``(request_id, virtual_chunk) -> physical_chunk`` view.
-
-        Kept for compatibility with the original flat-dict storage, but
-        read-only: it is rebuilt on access, so a write through it could
-        only corrupt a throwaway copy -- mutating raises instead.  Use
-        :meth:`map` / :meth:`release` to change mappings.
-        """
-        return types.MappingProxyType({
-            (request_id, virtual): physical
-            for request_id, mappings in self._per_request.items()
-            for virtual, physical in mappings.items()
-        })
-
-    @property
     def num_entries(self) -> int:
-        return sum(len(mappings) for mappings in self._per_request.values())
+        return self._num_entries
 
     @property
     def table_bytes(self) -> int:
         """Approximate SRAM footprint of the table (8B per entry)."""
-        return 8 * self.num_entries
+        return 8 * self._num_entries

@@ -89,17 +89,6 @@ class TestChunkedReserve:
         with pytest.raises(AllocationError):
             allocator.grow(0, count=64)
 
-    def test_va2pa_entries_compat_view(self):
-        allocator = chunked(capacity_chunks=4)
-        allocator.reserve(0, initial_tokens=128, final_tokens=128)  # 2 chunks
-        entries = allocator.table.entries
-        assert set(entries) == {(0, 0), (0, 1)}
-        assert sorted(entries.values()) == sorted(allocator.table.chunks_of(0))
-        # The view is read-only: writes fail loudly instead of silently
-        # mutating a rebuilt copy.
-        with pytest.raises(TypeError):
-            entries[(0, 2)] = 3
-
     def test_growth_cannot_steal_reserved_chunks(self):
         allocator = chunked(capacity_chunks=4)
         allocator.reserve(0, initial_tokens=64)        # 1 chunk mapped/committed

@@ -8,22 +8,21 @@ from repro.memory.va2pa import TranslationError, VA2PATable
 class TestVA2PATable:
     def test_translate_within_chunk(self):
         table = VA2PATable(chunk_bytes=1024)
-        table.map(request_id=1, virtual_chunk=0, physical_chunk=5)
+        table.map(request_id=1, physical_chunks=[5])
         assert table.translate(1, 0) == 5 * 1024
         assert table.translate(1, 100) == 5 * 1024 + 100
 
     def test_translate_across_chunks(self):
         table = VA2PATable(chunk_bytes=1024)
-        table.map(1, 0, 5)
-        table.map(1, 1, 2)
+        table.map(1, [5, 2])
         assert table.translate(1, 1024 + 8) == 2 * 1024 + 8
 
     def test_per_request_isolation(self):
         # The paper's example: the same virtual address resolves to different
         # physical locations for different requests.
         table = VA2PATable(chunk_bytes=1024)
-        table.map(1, 0, 22)
-        table.map(2, 0, 33)
+        table.map(1, [22])
+        table.map(2, [33])
         assert table.translate(1, 0) == 22 * 1024
         assert table.translate(2, 0) == 33 * 1024
 
@@ -32,33 +31,41 @@ class TestVA2PATable:
         with pytest.raises(TranslationError):
             table.translate(1, 0)
 
-    def test_remapping_conflict_rejected(self):
+    def test_translate_past_mapped_length_raises(self):
         table = VA2PATable(chunk_bytes=1024)
-        table.map(1, 0, 5)
-        with pytest.raises(ValueError):
-            table.map(1, 0, 6)
-        # Idempotent remap to the same chunk is allowed.
-        table.map(1, 0, 5)
+        table.map(1, [5, 6])
+        assert table.translate(1, 2 * 1024 - 1) == 6 * 1024 + 1023
+        with pytest.raises(TranslationError):
+            table.translate(1, 2 * 1024)
 
     def test_release_removes_only_that_request(self):
         table = VA2PATable(chunk_bytes=1024)
-        table.map(1, 0, 5)
-        table.map(2, 0, 7)
+        table.map(1, [5])
+        table.map(2, [7])
         freed = table.release(1)
         assert freed == [5]
         assert table.num_entries == 1
         assert table.translate(2, 0) == 7 * 1024
 
-    def test_chunks_listed_in_virtual_order(self):
+    def test_release_of_unknown_request_returns_empty(self):
         table = VA2PATable(chunk_bytes=1024)
-        table.map(1, 2, 9)
-        table.map(1, 0, 4)
-        table.map(1, 1, 7)
-        assert table.chunks_of(1) == [4, 7, 9]
+        table.map(1, [5])
+        assert table.release(2) == []
+        assert table.num_entries == 1
+
+    def test_chunks_listed_in_virtual_order(self):
+        # Each run is appended as the request's next virtual chunks; physical
+        # order plays no part.
+        table = VA2PATable(chunk_bytes=1024)
+        table.map(1, [9, 4])
+        table.map(1, [7])
+        assert table.chunks_of(1) == [9, 4, 7]
+        assert table.translate(1, 2 * 1024) == 7 * 1024
 
     def test_table_bytes_scales_with_entries(self):
         table = VA2PATable(chunk_bytes=1024)
         assert table.table_bytes == 0
-        table.map(1, 0, 1)
-        table.map(1, 1, 2)
+        table.map(1, [1, 2])
         assert table.table_bytes == 16
+        table.release(1)
+        assert table.table_bytes == 0
